@@ -1,15 +1,21 @@
 """Radix trie: LPM correctness against a brute-force reference model."""
 
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.apps import radixtrie
 from repro.apps.radixtrie import (
     DEFAULT_STRIDES,
+    MAX_NEXT_HOP,
+    MEMO_SLOT_BUDGET,
+    NO_ROUTE,
     RadixTrie,
     RouteTableBuilder,
     SLOT_BYTES,
+    TableMemo,
 )
 from repro.net.addresses import prefix_mask
 
@@ -164,3 +170,133 @@ def test_builder_lookup_always_resolves_via_default():
     trie = RouteTableBuilder(rng).build(100)
     for _ in range(100):
         assert trie.lookup_route(rng.getrandbits(32)) is not None
+
+
+def test_insert_rejects_unstorable_next_hops():
+    trie = RadixTrie()
+    for hop in (NO_ROUTE, MAX_NEXT_HOP + 1):
+        with pytest.raises(ValueError):
+            trie.insert(0x0A000000, 8, hop)
+        with pytest.raises(ValueError):
+            trie.insert(0, 0, hop)
+    trie.insert(0x0A000000, 8, MAX_NEXT_HOP)
+    trie.insert(0x0B000000, 8, NO_ROUTE + 1)
+    assert trie.lookup_route(0x0A000001) == MAX_NEXT_HOP
+    assert trie.lookup_route(0x0B000001) == NO_ROUTE + 1
+
+
+def test_builder_max_entries_counts_distinct_prefixes():
+    # addr_bits=8 leaves one /8, /12, /16, /20, /24 and sixteen /28s.
+    assert RouteTableBuilder(random.Random(0), addr_bits=8).max_entries == 21
+    assert RouteTableBuilder(random.Random(0)).max_entries == sum(
+        2 ** plen for plen in (8, 12, 16, 20, 24, 28))
+
+
+def test_builder_rejects_more_entries_than_distinct_prefixes(fresh_memo):
+    builder = RouteTableBuilder(random.Random(0), addr_bits=8)
+    with pytest.raises(ValueError):
+        builder.build(100)
+    with pytest.raises(ValueError):
+        builder.build(22)
+    assert builder.build(21).n_routes == 22
+
+
+# Recorded from the per-node trie this flat layout replaced: the flat
+# arrays must place every node and probe every slot at the same offsets.
+LAYOUT_PINS = {
+    0: (84288, 5205, "4957e788bd79b9c7"),
+    1: (82992, 5124, "404e03370f4972d1"),
+    2: (82512, 5094, "9c91411f81d90522"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(LAYOUT_PINS))
+def test_flat_layout_matches_recorded_offsets(seed):
+    trie = RouteTableBuilder(random.Random(seed), addr_bits=26).build(2000)
+    addrs = random.Random(1000 + seed)
+    digest = hashlib.sha256()
+    for _ in range(2000):
+        _, offsets = trie.lookup(addrs.getrandbits(26))
+        digest.update((",".join(map(str, offsets)) + ";").encode())
+    assert (trie.total_bytes, trie.n_nodes,
+            digest.hexdigest()[:16]) == LAYOUT_PINS[seed]
+
+
+# -- build memo ---------------------------------------------------------------
+
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    memo = TableMemo(MEMO_SLOT_BUDGET)
+    monkeypatch.setattr(radixtrie, "TABLE_MEMO", memo)
+    return memo
+
+
+def same_table(a, b):
+    return (a.children == b.children and a.routes == b.routes
+            and a.route_plens == b.route_plens and a.n_nodes == b.n_nodes
+            and a.n_routes == b.n_routes
+            and a.default_route == b.default_route)
+
+
+def small_table(seed, n_entries=200):
+    return RouteTableBuilder(random.Random(seed), addr_bits=26).build(
+        n_entries)
+
+
+def test_memo_hit_equals_fresh_build(fresh_memo, monkeypatch):
+    first = small_table(4)
+    hit = small_table(4)
+    assert hit is first
+    assert (fresh_memo.hits, fresh_memo.misses) == (1, 1)
+    monkeypatch.setattr(radixtrie, "TABLE_MEMO", TableMemo(MEMO_SLOT_BUDGET))
+    fresh = small_table(4)
+    assert fresh is not first
+    assert same_table(hit, fresh)
+
+
+def test_memo_leaves_rng_where_a_build_would(fresh_memo):
+    draws = []
+    for _ in range(2):  # miss, then hit
+        rng = random.Random(11)
+        RouteTableBuilder(rng, addr_bits=26).build(150)
+        draws.append([rng.random() for _ in range(8)])
+    assert (fresh_memo.hits, fresh_memo.misses) == (1, 1)
+    assert draws[0] == draws[1]
+    # A different generator state or argument is a different table.
+    other = RouteTableBuilder(random.Random(11), addr_bits=26).build(151)
+    assert fresh_memo.misses == 2
+    assert other.n_routes == 152
+
+
+def test_memo_tables_are_read_only(fresh_memo):
+    table = small_table(5)
+    assert table.shared
+    with pytest.raises(TypeError):
+        table.insert(0x0A000000, 8, 1)
+    assert small_table(5) is table  # the shared copy is intact
+
+
+def test_memo_evicts_least_recently_used_within_budget(monkeypatch):
+    sizes = {seed: small_table(seed).n_slots for seed in (0, 1, 2)}
+    budget = sizes[0] + sizes[1] + sizes[2] - 1
+    memo = TableMemo(budget)
+    monkeypatch.setattr(radixtrie, "TABLE_MEMO", memo)
+    tables = {seed: small_table(seed) for seed in (0, 1)}
+    assert small_table(0) is tables[0]  # 0 is now the most recent
+    small_table(2)  # must evict 1, the least recently used
+    assert memo.slots <= budget
+    assert len(memo) == 2
+    assert small_table(0) is tables[0]
+    rebuilt = small_table(1)
+    assert rebuilt is not tables[1]
+    assert same_table(rebuilt, tables[1])
+    assert memo.slots <= budget
+
+
+def test_memo_skips_tables_over_budget(monkeypatch):
+    memo = TableMemo(10)
+    monkeypatch.setattr(radixtrie, "TABLE_MEMO", memo)
+    table = small_table(6)
+    assert table.shared
+    assert len(memo) == 0 and memo.slots == 0
