@@ -15,24 +15,35 @@ from __future__ import annotations
 
 from typing import Iterator, List, Tuple
 
+import numpy as np
+
 #: Default irreducible-ish polynomial base and modulus for the rolling hash.
 _BASE = 2**8 + 7
 _MOD = (1 << 61) - 1  # Mersenne prime: cheap modular reduction
+
+#: Widest window :meth:`RabinFingerprinter.aligned` sums exactly in uint64:
+#: each chunk sums ``window`` products of a byte and a 32-bit weight half.
+MAX_WINDOW = (1 << 64) // (255 << 32)
 
 
 class RabinFingerprinter:
     """Rolling Rabin fingerprints over ``window``-byte windows."""
 
     def __init__(self, window: int = 32, sample_bits: int = 5):
-        if window <= 0:
-            raise ValueError("window must be positive")
+        if not 0 < window <= MAX_WINDOW:
+            raise ValueError(f"window must be in 1..{MAX_WINDOW}")
         if sample_bits < 0:
             raise ValueError("sample_bits must be non-negative")
         self.window = window
         self.sample_bits = sample_bits
         self._sample_mask = (1 << sample_bits) - 1
-        # BASE^(window-1) mod MOD, for removing the outgoing byte.
-        self._msb_weight = pow(_BASE, window - 1, _MOD)
+        # BASE^(window-1-i) mod MOD is the weight of byte i of a window;
+        # the first one removes the outgoing byte when rolling.
+        weights = [pow(_BASE, window - 1 - i, _MOD) for i in range(window)]
+        self._msb_weight = weights[0]
+        # The weights' low and high 32 bits, for aligned()'s dot product.
+        self._weight_halves = np.array(
+            [(wt & 0xFFFFFFFF, wt >> 32) for wt in weights], dtype=np.uint64)
 
     # -- exact rolling implementation ------------------------------------------
 
@@ -74,10 +85,16 @@ class RabinFingerprinter:
         The RE application uses this in the timing hot path: one fingerprint
         per ``window``-byte chunk, no sampling (every chunk is a candidate).
         Chunks shorter than a window are ignored, like trailing windows in
-        the rolling form.
+        the rolling form. All chunks are fingerprinted by one matrix
+        product: chunk bytes times the low and high 32-bit halves of the
+        window weights, exact in uint64, recombined and reduced once. That
+        equals :meth:`fingerprint`'s Horner loop (property-tested).
         """
         w = self.window
-        out: List[Tuple[int, int]] = []
-        for off in range(0, len(data) - w + 1, w):
-            out.append((off, self.fingerprint(data[off:off + w])))
-        return out
+        n = len(data) // w
+        if not n:
+            return []
+        chunks = np.frombuffer(data, dtype=np.uint8, count=n * w)
+        sums = (chunks.reshape(n, w) @ self._weight_halves).tolist()
+        return [(i * w, (lo + (hi << 32)) % _MOD)
+                for i, (lo, hi) in enumerate(sums)]

@@ -158,6 +158,19 @@ class REElement(Element):
         )
         self.store_region = alloc.alloc(store_bytes, "re.store")
 
+    def _touch_store(self, ctx: AccessContext, position: int,
+                     length: int) -> int:
+        """Touch ``length`` bytes of the circular store from absolute
+        ``position``, split where it wraps; returns the lines charged."""
+        pos = position % self.encoder.store.capacity
+        first = min(length, self.encoder.store.capacity - pos)
+        n_lines = 0
+        for size, offset in ((first, pos), (length - first, 0)):
+            if size > 0:
+                ctx.touch(self.store_region, offset, size, self._tag_store)
+                n_lines += (size + 63) // 64
+        return n_lines
+
     def process(self, ctx: AccessContext, packet: Packet) -> Packet:
         if self.encoder is None:
             raise RuntimeError("REElement used before initialize()")
@@ -178,19 +191,12 @@ class REElement(Element):
         # Matched references read the stored content.
         for token in tokens:
             if token[0] == "ref":
-                ctx.touch(self.store_region, token[1] % self.encoder.store.capacity,
-                          token[2], self._tag_store)
+                self._touch_store(ctx, token[1], token[2])
         # Appending the payload writes it into the (circular) store.
         if payload:
-            pos = store_base % self.encoder.store.capacity
-            first = min(len(payload), self.encoder.store.capacity - pos)
-            n_lines = 0
-            for length, offset in ((first, pos), (len(payload) - first, 0)):
-                if length > 0:
-                    ctx.touch(self.store_region, offset, length, self._tag_store)
-                    n_lines += (length + 63) // 64
-            for _ in range(n_lines):
-                ctx.cost(COST_RE_STORE_LINE)
+            n_lines = self._touch_store(ctx, store_base, len(payload))
+            ctx.compute(COST_RE_STORE_LINE[0] * n_lines,
+                        COST_RE_STORE_LINE[1] * n_lines)
         self.packets += 1
         self.bytes_in += len(payload)
         self.bytes_out += REEncoder.encoded_length(tokens)

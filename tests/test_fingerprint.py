@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.apps.fingerprint import RabinFingerprinter
+from repro.apps.fingerprint import MAX_WINDOW, RabinFingerprinter
 
 
 def test_fingerprint_requires_exact_window():
@@ -83,6 +83,17 @@ def test_constructor_validation():
         RabinFingerprinter(window=0)
     with pytest.raises(ValueError):
         RabinFingerprinter(window=8, sample_bits=-1)
+    with pytest.raises(ValueError):
+        RabinFingerprinter(window=MAX_WINDOW + 1)
+
+
+def test_aligned_sums_stay_exact_at_max_window():
+    # The widest window's worst-case chunk sum still fits in uint64.
+    assert MAX_WINDOW * 255 * (2**32 - 1) < 2**64
+    fp = RabinFingerprinter(window=64)
+    data = b"\xff" * 128 + bytes(range(64))
+    assert fp.aligned(data) == [(off, fp.fingerprint(data[off:off + 64]))
+                                for off in (0, 64, 128)]
 
 
 def test_identical_chunks_share_fingerprints():
@@ -91,3 +102,14 @@ def test_identical_chunks_share_fingerprints():
     data = chunk * 3
     values = {v for _, v in fp.aligned(data)}
     assert len(values) == 1
+
+
+@given(window=st.sampled_from([1, 7, 32, 64]),
+       data=st.binary(max_size=700))
+@settings(max_examples=80, deadline=None)
+def test_property_aligned_equals_per_window_fingerprint(window, data):
+    """The dot-product chunk fingerprints equal the Horner definition."""
+    fp = RabinFingerprinter(window=window)
+    expected = [(off, fp.fingerprint(data[off:off + window]))
+                for off in range(0, len(data) - window + 1, window)]
+    assert fp.aligned(data) == expected

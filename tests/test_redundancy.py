@@ -119,3 +119,27 @@ def test_element_compresses_repeats():
         element.process(AccessContext(), Packet.udp(src=1, dst=2,
                                                     payload=payload))
     assert element.bytes_out < element.bytes_in
+
+
+def test_element_store_reads_split_at_the_wrap():
+    """A matched chunk that straddles the circular store's end is read as
+    two ranges, like the write; no reference falls outside the store."""
+    env = make_env()
+    element = REElement(store_bytes=1000, n_table_entries=1024)
+    element.initialize(env)
+    store = element.store_region
+    store_tag = element._tag_store
+    capacity = element.encoder.store.capacity
+    payload = bytes((i * 37 + 11) % 256 for i in range(196))
+    straddles = 0
+    for _ in range(40):
+        ctx = AccessContext()
+        pkt = Packet.udp(src=1, dst=2, payload=payload)
+        element.process(ctx, pkt)
+        straddles += sum(
+            1 for token in pkt.annotations["re_tokens"]
+            if token[0] == "ref" and token[1] % capacity + token[2] > capacity)
+        for _, line, tag in ctx.references():
+            if tag == store_tag:
+                assert store.base >> 6 <= line <= (store.end - 1) >> 6
+    assert straddles > 0

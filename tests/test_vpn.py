@@ -1,9 +1,11 @@
 """VPN element: real encryption with simulated payload accesses."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.apps.aes import AES128, ctr_crypt
-from repro.apps.vpn import VPNEncrypt
+from repro.apps.vpn import KEYSTREAM_AHEAD, VPNEncrypt
+from repro.constants import COST_AES_BLOCK
 from repro.mem.access import AccessContext
 from repro.net.packet import Packet
 from tests.conftest import make_env
@@ -80,3 +82,72 @@ def test_random_key_when_unconfigured():
 def test_requires_initialize():
     with pytest.raises(RuntimeError):
         VPNEncrypt().process(AccessContext(), Packet.udp(src=1, dst=2))
+
+
+def reference_encrypt(key, payloads):
+    """The element's contract as a loop over the scalar reference."""
+    cipher = AES128(key)
+    packets = counter = 0
+    out = []
+    for payload in payloads:
+        if payload:
+            out.append(ctr_crypt(cipher, nonce=packets, counter0=counter,
+                                 data=payload))
+            counter += (len(payload) + 15) // 16
+        else:
+            out.append(payload)
+        packets += 1
+    return out, packets, counter
+
+
+@given(sizes=st.lists(
+    st.one_of(st.sampled_from([0, 1, 15, 16, 17, 256]),
+              st.integers(min_value=0, max_value=300)),
+    min_size=1, max_size=2 * KEYSTREAM_AHEAD + 5,
+), fixed=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_property_matches_reference_loop(sizes, fixed):
+    """Buffer hits (fixed size) and misses (varying size) both equal
+    ctr_crypt with nonce = packet number and the running counter."""
+    key = b"\x5a" * 16
+    if fixed:
+        sizes = [sizes[0]] * len(sizes)
+    payloads = [bytes((7 * i + n) % 256 for i in range(n)) for n in sizes]
+    expected, packets, counter = reference_encrypt(key, payloads)
+    element = make_vpn(key)
+    for payload, want in zip(payloads, expected):
+        pkt = Packet.udp(src=1, dst=2, payload=payload)
+        element.process(AccessContext(), pkt)
+        assert type(pkt.payload) is bytes
+        assert pkt.payload == want
+    assert element.packets == packets
+    assert element.counter == counter
+    assert element.bytes_encrypted == sum(sizes)
+
+
+def test_reinitialize_drops_keystream_of_old_key():
+    element = VPNEncrypt()
+    element.initialize(make_env(seed=1))
+    element.process(AccessContext(), Packet.udp(src=1, dst=2, payload=b"x" * 64))
+    element.initialize(make_env(seed=2))
+    pkt = Packet.udp(src=1, dst=2, payload=b"x" * 64)
+    element.process(AccessContext(), pkt)
+    assert pkt.payload == ctr_crypt(element.cipher, nonce=1, counter0=4,
+                                    data=b"x" * 64)
+
+
+@pytest.mark.parametrize("size", [1, 16, 17, 256, 1500])
+def test_charges_aes_cost_per_block(size):
+    element = make_vpn()
+    ctx = AccessContext()
+    pkt = Packet.udp(src=1, dst=2, payload=b"C" * size)
+    pkt.buffer = make_env(seed=3).space.domain(0).alloc(2048, "buf")
+    element.process(ctx, pkt)
+    n_blocks = (size + 15) // 16
+    assert ctx.instructions == COST_AES_BLOCK[1] * n_blocks
+    # Three context lines, then the payload lines read and written: all
+    # of the compute sits before the first ciphertext write.
+    n_payload_lines = (ctx.n_references - 3) // 2
+    gaps = ctx.program[0::3]
+    assert gaps[3 + n_payload_lines] == COST_AES_BLOCK[0] * n_blocks
+    assert sum(gaps) == COST_AES_BLOCK[0] * n_blocks
