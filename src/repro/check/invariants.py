@@ -25,9 +25,10 @@ preserve no matter what configuration, engine, or seed produced the run:
 The checker hooks the engines twice. During the run it observes packet
 boundaries through the machine's metrics-sampler protocol (the
 :class:`_CheckProbe` wraps any real sampler, so observability keeps
-working); both engines flush their counter accumulators at exactly those
-points, which makes the windowed checks engine-agnostic. After the run
-it audits the complete machine state and the measured statistics.
+working, and keeps its own cadence); both engines flush their counter
+accumulators at exactly those points, which makes the windowed checks
+engine-agnostic. After the run it audits the complete machine state and
+the measured statistics.
 
 By default violations are *collected* (``checker.violations``) so a
 fuzzing driver can report, shrink, and serialize them; ``strict=True``
@@ -39,7 +40,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-#: Probe cadence when no metrics sampler provides one (simulated cycles).
+from ..obs.metrics import MetricsProbe
+
+#: Probe cadence in simulated cycles (an attached sampler keeps its own).
 DEFAULT_PROBE_INTERVAL = 100_000.0
 
 #: Relative tolerance for float identities (clock decomposition). The
@@ -79,63 +82,21 @@ def _close(a: float, b: float, rel_tol: float) -> bool:
     return abs(a - b) <= rel_tol * max(abs(a), abs(b), 1.0)
 
 
-class _CheckProbe:
-    """Sampler-protocol adapter feeding packet boundaries to a checker.
-
-    Wraps the machine's real :class:`~repro.obs.MetricsSampler` (if any):
-    ``begin``/``sample``/``finish`` are forwarded so time series keep
-    recording, and ``next_due`` aliases the inner sampler's deadline list
-    (both engines bind that list once, before the hot loop, and expect
-    in-place mutation). Without an inner sampler the probe runs its own
-    deadline schedule at the checker's interval.
-    """
-
-    #: Lets :func:`repro.hw.machine.unwrap_probes` peel probe stacks
-    #: (e.g. an SLO-guard probe stacked on top of this one).
-    is_metrics_probe = True
+class _CheckProbe(MetricsProbe):
+    """Sampler-protocol adapter feeding packet boundaries to a checker at
+    the checker's own interval, whatever sampler it wraps (see
+    :class:`~repro.obs.metrics.MetricsProbe`)."""
 
     def __init__(self, checker: "InvariantChecker", inner=None):
+        super().__init__(checker.interval_cycles, inner)
         self._checker = checker
-        self._inner = inner
-        self._machine = None
-        self.next_due: List[float] = []
 
-    @property
-    def inner(self):
-        return self._inner
-
-    def begin(self, machine) -> None:
-        self._machine = machine
-        if self._inner is not None:
-            self._inner.begin(machine)
-            self.next_due = self._inner.next_due
-        else:
-            interval = self._checker.interval_cycles
-            self.next_due = [interval] * len(machine.flows)
+    def _begin_run(self, machine) -> None:
         self._checker._begin_run(machine)
 
-    def sample(self, flow_index: int, clock: float, counters) -> None:
+    def _observe(self, flow_index: int, clock: float, counters) -> None:
         self._checker.check_window(self._machine, flow_index, clock,
                                    counters)
-        if self._inner is not None:
-            # Advances next_due[flow_index] in place.
-            self._inner.sample(flow_index, clock, counters)
-        else:
-            due = self.next_due[flow_index]
-            interval = self._checker.interval_cycles
-            while due <= clock:
-                due += interval
-            self.next_due[flow_index] = due
-
-    def finish(self, flows) -> None:
-        if self._inner is not None:
-            self._inner.finish(flows)
-
-    # RunResult/report consumers only ever see the unwrapped sampler
-    # (Machine.run calls checker.unwrap), but keep payload() harmless in
-    # case a probe leaks into serialization code.
-    def payload(self):  # pragma: no cover - defensive
-        return self._inner.payload() if self._inner is not None else {}
 
 
 @dataclass

@@ -6,7 +6,7 @@ hook the invariant engine uses — so it observes live per-flow windows
 (packets/sec, L3 refs/sec) under both the scalar and batch engines at
 identical points of the interleaving. Probes stack: the guard wraps
 whatever sampler (or invariant probe) is already installed and forwards
-every call.
+to it, and each keeps its own window cadence.
 
 Per window the guard:
 
@@ -36,9 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..obs.metrics import MetricsProbe
 from .slo import GUARD_SCHEMA, slo_map
 
-#: Probe cadence when no metrics sampler provides one (simulated cycles).
+#: Window cadence in simulated cycles (an attached sampler keeps its own).
 DEFAULT_GUARD_INTERVAL = 40_000.0
 
 
@@ -46,7 +47,7 @@ DEFAULT_GUARD_INTERVAL = 40_000.0
 class GuardConfig:
     """Escalation-ladder and monitoring knobs of one guard."""
 
-    #: Window cadence when the guard owns the probe schedule (cycles).
+    #: Window cadence in cycles, independent of any attached sampler.
     interval_cycles: float = DEFAULT_GUARD_INTERVAL
     #: Live refs/sec over baseline refs/sec beyond which a flow counts
     #: as deviating from its solo profile (two-faced symptom).
@@ -149,57 +150,20 @@ class _FlowState:
     drops: List[Tuple[float, float]] = field(default_factory=list)
 
 
-class _GuardProbe:
-    """Sampler-protocol adapter feeding windows to the supervisor.
-
-    Identical contract to the invariant engine's probe: forwards
-    ``begin``/``sample``/``finish`` to the wrapped sampler (so time
-    series and stacked probes keep working) and aliases its ``next_due``
-    deadline list; without an inner sampler it runs its own schedule at
-    the guard's interval.
-    """
-
-    #: Lets :func:`repro.hw.machine.unwrap_probes` peel probe stacks.
-    is_metrics_probe = True
+class _GuardProbe(MetricsProbe):
+    """Sampler-protocol adapter feeding windows to the supervisor at the
+    guard's own interval, whatever sampler it wraps (see
+    :class:`~repro.obs.metrics.MetricsProbe`)."""
 
     def __init__(self, guard: "SLOGuard", inner=None):
+        super().__init__(guard.config.interval_cycles, inner)
         self._guard = guard
-        self._inner = inner
-        self._machine = None
-        self.next_due: List[float] = []
 
-    @property
-    def inner(self):
-        return self._inner
-
-    def begin(self, machine) -> None:
-        self._machine = machine
-        if self._inner is not None:
-            self._inner.begin(machine)
-            self.next_due = self._inner.next_due
-        else:
-            interval = self._guard.config.interval_cycles
-            self.next_due = [interval] * len(machine.flows)
+    def _begin_run(self, machine) -> None:
         self._guard._begin_run(machine)
 
-    def sample(self, flow_index: int, clock: float, counters) -> None:
+    def _observe(self, flow_index: int, clock: float, counters) -> None:
         self._guard.on_sample(flow_index, clock, counters)
-        if self._inner is not None:
-            # Advances next_due[flow_index] in place.
-            self._inner.sample(flow_index, clock, counters)
-        else:
-            due = self.next_due[flow_index]
-            interval = self._guard.config.interval_cycles
-            while due <= clock:
-                due += interval
-            self.next_due[flow_index] = due
-
-    def finish(self, flows) -> None:
-        if self._inner is not None:
-            self._inner.finish(flows)
-
-    def payload(self):  # pragma: no cover - defensive
-        return self._inner.payload() if self._inner is not None else {}
 
 
 class SLOGuard:

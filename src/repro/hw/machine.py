@@ -8,6 +8,16 @@ memory controllers. Cores are interleaved at memory-reference granularity
 by always advancing the core with the smallest local clock, so co-runners'
 references contend in the shared cache exactly as on real hardware.
 
+The scalar loop in :meth:`Machine.run` keeps, per flow, a cursor over the
+current packet's program (yielding ``(gap, line, tag)``; it survives core
+switches) and one tuple of pre-bound run state (counters, cache sets,
+socket), so a core switch is a tuple unpack and one ``heapreplace``; a
+sentinel heap entry spares the emptiness test. Counters are updated per
+reference and the clock is published at every switch, because observers
+read other flows mid-packet: the SLO guard, at the victim's window,
+retargets an aggressor via ``GuardedFlow.set_limit``, which reads the
+aggressor's ``l3_refs`` and clock.
+
 Placement is explicit: ``add_flow(factory, core=..., data_domain=...)``
 controls both which socket executes a flow and which memory domain holds
 its data, which is how the three configurations of the paper's Figure 3
@@ -18,7 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 from typing import Callable, Dict, List, Optional
 
 from ..constants import CACHE_LINE_BITS, DEFAULT_SEED, NUMA_DOMAIN_SHIFT
@@ -423,30 +433,31 @@ class Machine:
         lat_dram = spec.lat_l3 + spec.lat_dram_extra
         mcs = self.mcs
         qpi = self.qpi
-        l3_by_socket = self.l3
         n_tags = len(TAGS)
         events = 0
 
-        # Per-flow fast-path bindings.
-        l1_sets = {fr.index: self._l1[fr.core].sets for fr in flows}
-        l1_nsets = {fr.index: self._l1[fr.core].n_sets for fr in flows}
-        l2_sets = {fr.index: self._l2[fr.core].sets for fr in flows}
-        l2_nsets = {fr.index: self._l2[fr.core].n_sets for fr in flows}
+        # Everything a reference needs from its flow, pre-bound once per
+        # run: a core switch is one unpack of the flow's tuple.
+        bound = []
+        for fr in flows:
+            c = fr.counters
+            c._grow_tags()
+            if len(c.tag_refs) < n_tags:  # pragma: no cover - defensive
+                raise RuntimeError("tag registry changed mid-run")
+            l1 = self._l1[fr.core]
+            l2 = self._l2[fr.core]
+            l3 = self.l3[fr.socket]
+            bound.append((fr, c, c.tag_refs, c.tag_hits, l1.sets, l1.n_sets,
+                          l2.sets, l2.n_sets, l3.sets, l3.n_sets, fr.socket))
         l1_ways = spec.l1_ways
         l2_ways = spec.l2_ways
         l3_ways = spec.l3_ways
 
-        heap: List = []
-        for fr in flows:
-            fr.counters._grow_tags()
-            if len(fr.counters.tag_refs) < n_tags:  # pragma: no cover - defensive
-                raise RuntimeError("tag registry changed mid-run")
-            heappush(heap, (fr.clock, fr.index))
+        heap = sorted((fr.clock, fr.index) for fr in flows)  # a valid heap
 
         # Observability bindings. ``trace_on``/``metrics_on`` are the
-        # single boolean guards the hot loop checks; with both off the
-        # loop below is byte-for-byte the pre-observability engine plus
-        # those checks (see tests/test_obs_overhead.py).
+        # single boolean guards the loop checks; with both off it makes no
+        # observer call (see tests/test_obs_overhead.py).
         checker = self.checker
         if checker is not None:
             # The checker wraps self.metrics with a probe implementing
@@ -455,8 +466,8 @@ class Machine:
             checker.install(self)
         guard = self.guard
         if guard is not None:
-            # Same probe-stacking trick, outermost: the guard sees every
-            # window first, then forwards to the checker/sampler below.
+            # Same probe-stacking trick, outermost; each probe keeps its
+            # own window cadence and forwards to the one below when due.
             guard.install(self)
         tracer = self.tracer
         trace_on = tracer.active
@@ -469,110 +480,22 @@ class Machine:
             metrics_due = sampler.next_due
         mem_sample = tracer.mem_sample if trace_on else 0
 
-        stop = False
-        while heap and not stop:
-            clock, i = heappop(heap)
-            fr = flows[i]
-            fl = fr.flow
-            ctx = fr.ctx
-            c = fr.counters
-            tag_refs = c.tag_refs
-            tag_hits = c.tag_hits
-            my_l1 = l1_sets[i]
-            my_l1_n = l1_nsets[i]
-            my_l2 = l2_sets[i]
-            my_l2_n = l2_nsets[i]
-            my_l3 = l3_by_socket[fr.socket].sets
-            my_l3_n = l3_by_socket[fr.socket].n_sets
-            home = fr.socket
-            limit = heap[0][0] if heap else float("inf")
-            clock = fr.clock
-            prog = fr.prog
-            pc = fr.pc
-            prog_len = fr.prog_len
+        # Per-flow cursors (see module docstring); ``start`` stands for
+        # "no packet generated yet".
+        start = iter(())
+        cursors = [start] * len(flows)
+        clock, i = heappop(heap)
+        # The sentinel keeps heap[0] defined, so a lone flow needs no
+        # emptiness test: its limit is infinite and it never switches.
+        heappush(heap, (float("inf"), len(flows)))
+        limit = heap[0][0]
+        (fr, c, tag_refs, tag_hits, my_l1, my_l1_n, my_l2, my_l2_n,
+         my_l3, my_l3_n, home) = bound[i]
+        cursor = start
 
-            while True:
-                if pc >= prog_len:
-                    # -- packet boundary --------------------------------------
-                    if prog_len >= 0:
-                        clock += ctx.trailing_gap
-                        c.gap_cycles += ctx.trailing_gap
-                        if not ctx.is_idle:
-                            c.packets += 1
-                            if (fr.latencies is not None
-                                    and fr.snap_start is not None
-                                    and not fr.done):
-                                fr.latencies.append(clock - fr.packet_start)
-                            if trace_on:
-                                tracer.packet(
-                                    i, fr.packet_start, clock, c.packets,
-                                    marks=getattr(fl, "trace_marks", None))
-                        if c.packets == fr.warmup_target and fr.snap_start is None:
-                            c.cycles = clock
-                            fr.snap_start = c.copy()
-                            if trace_on:
-                                tracer.phase(i, clock, "measure_begin",
-                                             packets=c.packets)
-                        elif c.packets == fr.measure_target and not fr.done:
-                            c.cycles = clock
-                            fr.snap_end = c.copy()
-                            fr.done = True
-                            if trace_on:
-                                tracer.phase(i, clock, "measure_end",
-                                             packets=c.packets)
-                            if fr.measured:
-                                n_waiting -= 1
-                                if n_waiting == 0:
-                                    stop = True
-                                    break
-                        if metrics_on and clock >= metrics_due[i]:
-                            sampler.sample(i, clock, c)
-                    # -- generate next packet ---------------------------------
-                    if events > max_events:
-                        raise RuntimeError(
-                            f"simulation exceeded {max_events} events; "
-                            "reduce packet counts or platform scale"
-                        )
-                    ctx.reset()
-                    # Keep the public run state current: flows with live
-                    # feedback (ControlElement, ThrottledFlow) read their
-                    # own clock and counters during generation.
-                    fr.clock = clock
-                    fr.packet_start = clock
-                    dma = fl.run_packet(ctx)
-                    ctx.finish_packet()
-                    c.instructions += ctx.instructions
-                    if dma:
-                        inval_l3 = l3_by_socket[fr.socket]
-                        inval_l1 = my_l1
-                        inval_l2 = my_l2
-                        for line in dma:
-                            s = inval_l1[line % my_l1_n]
-                            if line in s:
-                                s.remove(line)
-                            s = inval_l2[line % my_l2_n]
-                            if line in s:
-                                s.remove(line)
-                            s = my_l3[line % my_l3_n]
-                            if line in s:
-                                s.remove(line)
-                    prog = fr.prog = ctx.program
-                    pc = 0
-                    prog_len = len(prog)
-                    # A packet with no memory references must still advance
-                    # time via its trailing gap, or the loop would never
-                    # make progress.
-                    if prog_len == 0 and ctx.trailing_gap <= 0:
-                        raise RuntimeError(
-                            f"flow {fr.label!r} produced an empty, zero-time packet"
-                        )
-                    if clock > limit:
-                        break
-                    continue
-
-                # -- one memory reference -------------------------------------
-                gap = prog[pc]
-                line = prog[pc + 1]
+        while True:
+            for gap, line, tag in cursor:
+                # -- one memory reference -----------------------------------
                 now = clock + gap
                 s = my_l1[line % my_l1_n]
                 if line in s:
@@ -595,7 +518,6 @@ class Machine:
                         if len(s2) > l2_ways:
                             s2.pop(0)
                         c.l3_refs += 1
-                        tag = prog[pc + 2]
                         tag_refs[tag] += 1
                         s3 = my_l3[line % my_l3_n]
                         if line in s3:
@@ -620,22 +542,100 @@ class Machine:
                             if trace_on and c.l3_misses % mem_sample == 0:
                                 tracer.mem(i, now, wait, dom, dom != home)
                 c.gap_cycles += gap
-                pc += 3
                 events += 1
                 if clock > limit:
                     break
+            else:
+                # -- packet boundary ----------------------------------------
+                ctx = fr.ctx
+                if cursor is not start:
+                    clock += ctx.trailing_gap
+                    c.gap_cycles += ctx.trailing_gap
+                    if not ctx.is_idle:
+                        c.packets += 1
+                        if (fr.latencies is not None
+                                and fr.snap_start is not None
+                                and not fr.done):
+                            fr.latencies.append(clock - fr.packet_start)
+                        if trace_on:
+                            tracer.packet(
+                                i, fr.packet_start, clock, c.packets,
+                                marks=getattr(fr.flow, "trace_marks", None))
+                    if c.packets == fr.warmup_target and fr.snap_start is None:
+                        c.cycles = clock
+                        fr.snap_start = c.copy()
+                        if trace_on:
+                            tracer.phase(i, clock, "measure_begin",
+                                         packets=c.packets)
+                    elif c.packets == fr.measure_target and not fr.done:
+                        c.cycles = clock
+                        fr.snap_end = c.copy()
+                        fr.done = True
+                        if trace_on:
+                            tracer.phase(i, clock, "measure_end",
+                                         packets=c.packets)
+                        if fr.measured:
+                            n_waiting -= 1
+                            if n_waiting == 0:
+                                fr.clock = clock
+                                break  # the for's else: ends the run
+                    if metrics_on and clock >= metrics_due[i]:
+                        sampler.sample(i, clock, c)
+                # -- generate next packet -----------------------------------
+                if events > max_events:
+                    raise RuntimeError(
+                        f"simulation exceeded {max_events} events; "
+                        "reduce packet counts or platform scale"
+                    )
+                ctx.reset()
+                # Keep the public run state current: flows with live
+                # feedback (ControlElement, ThrottledFlow) read their
+                # own clock and counters during generation.
+                fr.clock = clock
+                fr.packet_start = clock
+                dma = fr.flow.run_packet(ctx)
+                ctx.finish_packet()
+                c.instructions += ctx.instructions
+                if dma:
+                    for line in dma:
+                        s = my_l1[line % my_l1_n]
+                        if line in s:
+                            s.remove(line)
+                        s = my_l2[line % my_l2_n]
+                        if line in s:
+                            s.remove(line)
+                        s = my_l3[line % my_l3_n]
+                        if line in s:
+                            s.remove(line)
+                # ``ctx.program`` is next cleared by this flow's next
+                # ``ctx.reset()``, after the cursor is exhausted.
+                refs = iter(ctx.program)
+                cursor = zip(refs, refs, refs)
+                # A packet with no memory references must still advance
+                # time via its trailing gap, or the loop would never
+                # make progress.
+                if not ctx.program and ctx.trailing_gap <= 0:
+                    raise RuntimeError(
+                        f"flow {fr.label!r} produced an empty, zero-time packet"
+                    )
+                if clock <= limit:
+                    continue
 
+            # -- core switch (publishes the clock; see module docstring) -----
             fr.clock = clock
-            fr.pc = pc
-            fr.prog_len = prog_len
-            if stop:
-                break
             if events > max_events:
                 raise RuntimeError(
                     f"simulation exceeded {max_events} events; "
                     "reduce packet counts or platform scale"
                 )
-            heappush(heap, (clock, i))
+            cursors[i] = cursor
+            # Exact pop-then-push: this flow's clock is strictly above
+            # heap[0][0], so it cannot be the one popped.
+            clock, i = heapreplace(heap, (clock, i))
+            limit = heap[0][0]
+            (fr, c, tag_refs, tag_hits, my_l1, my_l1_n, my_l2, my_l2_n,
+             my_l3, my_l3_n, home) = bound[i]
+            cursor = cursors[i]
 
         # Close statistics for flows that never reached their measure target
         # (pure competitors kept running for contention): report whatever

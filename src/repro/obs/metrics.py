@@ -216,3 +216,75 @@ class MetricsSampler:
             if points:
                 out[label] = points
         return out
+
+
+class MetricsProbe:
+    """Base of the packet-boundary observers that stack on the sampler
+    protocol (the invariant checker's probe, the SLO guard's probe).
+
+    A probe wraps the machine's sampler (or another probe), if any, and
+    keeps its own per-flow deadlines at its own interval: an attached
+    sampler's cadence never changes what the probe observes. It forwards
+    ``begin``/``finish`` to the inner sampler, and ``sample`` only when
+    the inner one is due. The engines read :attr:`next_due`, the per-flow
+    minimum of both schedules; they bind that list once before their
+    loop, so it is only ever updated in place.
+    """
+
+    #: Lets :func:`repro.hw.machine.unwrap_probes` peel probe stacks.
+    is_metrics_probe = True
+
+    def __init__(self, interval_cycles: float, inner=None):
+        self._interval = interval_cycles
+        self._inner = inner
+        self._machine = None
+        self._due: List[float] = []
+        self.next_due: List[float] = []
+
+    @property
+    def inner(self):
+        return self._inner
+
+    def _begin_run(self, machine) -> None:
+        """Bind the observer to ``machine`` at run start."""
+        raise NotImplementedError
+
+    def _observe(self, flow_index: int, clock: float, counters) -> None:
+        """One flow's window, at the probe's own cadence."""
+        raise NotImplementedError
+
+    def begin(self, machine) -> None:
+        self._machine = machine
+        self._due = [self._interval] * len(machine.flows)
+        inner = self._inner
+        if inner is not None:
+            inner.begin(machine)
+            self.next_due[:] = map(min, self._due, inner.next_due)
+        else:
+            self.next_due[:] = self._due
+        self._begin_run(machine)
+
+    def sample(self, flow_index: int, clock: float, counters) -> None:
+        due = self._due[flow_index]
+        if clock >= due:
+            self._observe(flow_index, clock, counters)
+            while due <= clock:
+                due += self._interval
+            self._due[flow_index] = due
+        inner = self._inner
+        if inner is not None:
+            inner_due = inner.next_due
+            if clock >= inner_due[flow_index]:
+                inner.sample(flow_index, clock, counters)
+            due = min(due, inner_due[flow_index])
+        self.next_due[flow_index] = due
+
+    def finish(self, flows) -> None:
+        if self._inner is not None:
+            self._inner.finish(flows)
+
+    # Results only ever see the unwrapped sampler (Machine.run calls
+    # unwrap_probes), but keep payload() harmless in case a probe leaks
+    # into serialization code.
+    def payload(self):  # pragma: no cover - defensive
+        return self._inner.payload() if self._inner is not None else {}

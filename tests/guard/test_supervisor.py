@@ -356,12 +356,21 @@ def test_probe_stacks_on_an_inner_sampler():
     assert probe.inner is inner
     machine = _FakeMachine([_FakeFlowRun(0, "V", object())])
     probe.begin(machine)
-    # The probe aliases (not copies) the inner sampler's schedule.
-    assert probe.next_due is inner.next_due
+    # The probe keeps its own schedule; the engine reads the earlier of
+    # the probe's and the inner sampler's deadlines.
+    assert probe.next_due is not inner.next_due
+    assert probe.next_due == [123.0]
     probe.sample(0, 1000.0, _Counters(packets=10, l3_refs=10))
-    probe.finish([])
-    assert calls == [("begin",), ("sample", 0), ("finish",)]
+    # Only the inner sampler was due: the guard saw no window.
+    assert guard.windows_observed == 0
     assert probe.next_due[0] == 1500.0
+    probe.sample(0, DEFAULT_GUARD_INTERVAL, _Counters(packets=50,
+                                                      l3_refs=50))
+    assert guard.windows_observed == 1
+    assert probe.next_due[0] == DEFAULT_GUARD_INTERVAL + 500.0
+    probe.finish([])
+    assert calls == [("begin",), ("sample", 0), ("sample", 0),
+                     ("finish",)]
 
 
 def test_guard_event_round_trips_and_prints():
